@@ -1,17 +1,15 @@
-// Microbenchmarks of the nn kernel layer and the two-phase (planned)
-// executor — not a paper table; this is the performance baseline for the
-// library itself, in the same BENCH json format as the experiment benches
-// so tools/bench_diff can gate it. Two kinds of values ride in the report:
+// Microbenchmarks of the nn kernel layer and the tape — not a paper table;
+// this is the performance baseline for the library itself, in the same
+// BENCH json format as the experiment benches so tools/bench_diff can gate
+// it. Two kinds of values ride in the report:
 //
 //  * timings (`*_ms`, skipped under --ignore-timings): the dispatch-table
 //    matmul family scalar vs SIMD, and a representative attention-shaped
-//    training step planned vs eager;
-//  * exact counts (zero-tolerance in bench_diff): scalar/SIMD and
-//    planned/eager mismatch counts (must be 0 — the bit-exactness
-//    contract), tape node count, fused-region and chunk counts from the
-//    profiler (pure functions of the workload shapes, identical on every
-//    machine and thread count — a drift means the compiler fused
-//    differently, which is exactly what the gate should catch).
+//    training step;
+//  * exact counts (zero-tolerance in bench_diff): the scalar/SIMD mismatch
+//    count (must be 0 — the bit-exactness contract), tape node count, and
+//    chunk and unnamed-region counts from the profiler (pure functions of
+//    the workload shapes, identical on every machine and thread count).
 
 #include <chrono>
 #include <cstdio>
@@ -21,7 +19,6 @@
 #include "common/rng.h"
 #include "nn/kernels/kernels.h"
 #include "nn/parameter.h"
-#include "nn/plan.h"
 #include "nn/tape.h"
 #include "nn/tensor.h"
 #include "obs/profiler.h"
@@ -47,9 +44,8 @@ size_t CountMismatch(const nn::Tensor& a, const nn::Tensor& b) {
   return bad;
 }
 
-// One attention-shaped step: a fused linear+activation group, a second
-// matmul+activation, a column-broadcast + segment-sum scatter group, and a
-// scalar loss.
+// One attention-shaped step: linear + bias + activation, a second
+// matmul + activation, a weighted segment sum, and a scalar loss.
 struct StepSetup {
   nn::ParameterStore store;
   nn::Parameter* w1;
@@ -72,19 +68,18 @@ struct StepSetup {
     num_segments = (kRows + 9) / 10;
   }
 
-  // Runs forward + backward once; returns the pooled output values.
-  nn::Tensor Run(size_t* nodes_out = nullptr) {
+  // Runs forward + backward once.
+  void Run(size_t* nodes_out = nullptr) {
     nn::Tape tape;
     nn::Value in = tape.Input(x);
     nn::Value h1 = tape.Relu(tape.AddRowBroadcast(
         tape.MatMul(in, tape.Param(w1)), tape.Param(b1)));
     nn::Value h2 = tape.Tanh(tape.MatMul(h1, tape.Param(w2)));
-    nn::Value weighted = tape.MulColBroadcast(h2, tape.Input(col));
-    nn::Value pooled = tape.SegmentSum(weighted, segment, num_segments);
+    nn::Value pooled =
+        tape.WeightedSegmentSum(h2, tape.Input(col), segment, num_segments);
     nn::Value loss = tape.MeanAll(tape.Mul(pooled, pooled));
     tape.Backward(loss);
     if (nodes_out != nullptr) *nodes_out = tape.num_nodes();
-    return tape.value(pooled);
   }
 };
 
@@ -99,7 +94,7 @@ struct TimedPair {
 
 int Main() {
   bench::BenchReport report(
-      "kernels", "Kernel dispatch-table and planned-executor baseline",
+      "kernels", "Kernel dispatch-table and tape baseline",
       "library baseline (no paper table)");
   const bool small = bench::CurrentScale() == bench::Scale::kSmall;
   const int kernel_reps = small ? 40 : 160;
@@ -190,81 +185,40 @@ int Main() {
   }
   report.AddValue("kernel_mismatch_count", static_cast<double>(mismatches));
 
-  // --- planned vs eager training step ------------------------------------
+  // --- training step -----------------------------------------------------
   StepSetup setup;
   size_t tape_nodes = 0;
-  double planned_ms = 0.0, eager_ms = 0.0;
-  size_t step_mismatches = 0;
-  {
-    nn::Tape::SetModeForTest(nn::Tape::Mode::kPlanned);
+  setup.store.ZeroGrads();
+  setup.Run(&tape_nodes);  // warm the tensor pool
+  auto t0 = std::chrono::steady_clock::now();
+  for (int r = 0; r < step_reps; ++r) {
     setup.store.ZeroGrads();
-    nn::Tensor planned_out = setup.Run(&tape_nodes);  // warm the plan cache
-    auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < step_reps; ++r) {
-      setup.store.ZeroGrads();
-      planned_out = setup.Run();
-    }
-    planned_ms = MsSince(t0) / step_reps;
-
-    nn::Tape::SetModeForTest(nn::Tape::Mode::kEager);
-    setup.store.ZeroGrads();
-    nn::Tensor eager_out = setup.Run();
-    t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < step_reps; ++r) {
-      setup.store.ZeroGrads();
-      eager_out = setup.Run();
-    }
-    eager_ms = MsSince(t0) / step_reps;
-    nn::Tape::SetModeForTest(nn::Tape::Mode::kEnv);
-    step_mismatches = CountMismatch(planned_out, eager_out);
+    setup.Run();
   }
-  report.AddValue("planned_step_ms", planned_ms);
-  report.AddValue("eager_step_ms", eager_ms);
-  report.AddValue("planned_vs_eager_mismatch_count",
-                  static_cast<double>(step_mismatches));
+  const double step_ms = MsSince(t0) / step_reps;
+  report.AddValue("step_ms", step_ms);
   report.AddValue("tape_nodes_count", static_cast<double>(tape_nodes));
-  std::printf("step: planned %.2f ms  eager %.2f ms  (%zu tape nodes)\n",
-              planned_ms, eager_ms, tape_nodes);
+  std::printf("step: %.2f ms  (%zu tape nodes)\n", step_ms, tape_nodes);
 
-  // --- fusion / chunk counts via the profiler ----------------------------
+  // --- chunk counts via the profiler -------------------------------------
   // Counts are pure functions of the workload shapes: identical across
-  // machines, runs and thread counts (DESIGN.md §12-13), so they gate the
-  // plan compiler's fusion decisions exactly.
+  // machines, runs and thread counts (DESIGN.md §12-13).
   {
     obs::Profiler::Global().ResetForTest();
     obs::Profiler::Global().Enable(true);
-    nn::Tape::SetModeForTest(nn::Tape::Mode::kPlanned);
     setup.store.ZeroGrads();
     setup.Run();
-    nn::Tape::SetModeForTest(nn::Tape::Mode::kEnv);
     obs::Profiler::Global().Enable(false);
     const auto regions = obs::Profiler::Global().RegionSnapshot();
-    const auto ops = obs::Profiler::Global().OpSnapshot();
     obs::Profiler::Global().ResetForTest();
     uint64_t chunks = 0, unnamed = 0;
     for (const auto& [name, r] : regions) {
       chunks += r.chunks;
       if (name == "(kernel)") unnamed = r.regions;
     }
-    // Fusion dispatch counts come from the op records (the scatter group
-    // is a sequential kernel, so it never opens a parallel region).
-    const auto op_count = [&ops](const char* name) -> uint64_t {
-      const auto it = ops.find(name);
-      return it == ops.end() ? 0 : it->second.dispatches;
-    };
-    const uint64_t fused_linear = op_count("plan.linear_act");
-    const uint64_t fused_scatter = op_count("plan.mul_col_segment_sum");
-    report.AddValue("fused_linear_count", static_cast<double>(fused_linear));
-    report.AddValue("fused_scatter_count",
-                    static_cast<double>(fused_scatter));
     report.AddValue("step_chunks_count", static_cast<double>(chunks));
     report.AddValue("unnamed_region_count", static_cast<double>(unnamed));
-    report.AddValue("plan_cache_count",
-                    static_cast<double>(nn::PlanCache::Global().size()));
-    std::printf("fusion: %llu linear_act, %llu scatter regions; "
-                "%llu chunks, %llu unnamed\n",
-                static_cast<unsigned long long>(fused_linear),
-                static_cast<unsigned long long>(fused_scatter),
+    std::printf("profile: %llu chunks, %llu unnamed\n",
                 static_cast<unsigned long long>(chunks),
                 static_cast<unsigned long long>(unnamed));
   }

@@ -95,9 +95,11 @@ merged["values"] = list(threaded["values"]) + [
     {"label": "speedup_threads4", "value": speedup},
 ]
 json.dump(merged, open(out_name, "w"))
-# The planned executor's session reuse + coarse grains make 4 threads pay
-# off — but only where 4 hardware threads exist; an oversubscribed 1-core
-# box measures contention, not the executor.
+# The 2.5x floor is the target for 4 threads, asserted only where 4
+# hardware threads exist (an oversubscribed 1-core box measures
+# contention, not the program). The current program does not reach it:
+# only ~7 s of ~23 s of forward/backward runs in parallel regions, so this
+# gate fails on 4-CPU hosts until training parallelizes more of the step.
 if (os.cpu_count() or 1) >= 4:
     assert speedup >= 2.5, \
         f"speedup_threads4 {speedup:.2f} below the 2.5 floor on a " \
@@ -131,7 +133,7 @@ for name in p1["regions"]:
 # Op counts are exact at any thread count, bytes included.
 assert p1["ops"] == p4["ops"], set(p1["ops"]) ^ set(p4["ops"])
 assert p1["ops"], "table04 recorded no tensor/tape ops"
-# The compiled-plan executor's dispatch contract (DESIGN.md §13): every
+# The op dispatcher's contract (DESIGN.md §13): every
 # kernel region is named (nothing buckets under "(kernel)") and the
 # coarse grains cut total chunk count >= 10x below the PR-7 figure of
 # 3,161,131 (same bench, same scale, 1 thread).
@@ -197,9 +199,8 @@ echo "bench_diff gate: self-diff clean, injected regression caught," \
 
 # Kernel-layer baseline (DESIGN.md §13): a fresh bench_kernels run must
 # match the committed BENCH_kernels.json on every non-timing field —
-# the zero mismatch counts (scalar/SIMD and planned/eager bit-exactness)
-# and the exact fusion/chunk/tape-shape counts that pin the plan
-# compiler's decisions. Thread count is pinned so the report meta is
+# the zero scalar/SIMD mismatch count and the exact chunk/tape-shape
+# counts. Thread count is pinned so the report meta is
 # machine-independent.
 mkdir -p "${PERF_DIR}/kernels"
 (cd "${PERF_DIR}/kernels" &&
@@ -212,12 +213,9 @@ import json, sys
 vals = {v["label"]: v["value"]
         for v in json.load(open(sys.argv[1]))["values"]}
 assert vals["kernel_mismatch_count"] == 0, vals
-assert vals["planned_vs_eager_mismatch_count"] == 0, vals
 assert vals["unnamed_region_count"] == 0, vals
-assert vals["fused_linear_count"] > 0 and vals["fused_scatter_count"] > 0
 print(f"kernels gate: bit-exact (0 mismatches), "
-      f"{vals['fused_linear_count']:.0f} fused linear + "
-      f"{vals['fused_scatter_count']:.0f} fused scatter dispatches hold")
+      f"{vals['step_chunks_count']:.0f} chunks, no unnamed regions")
 EOF
 rm -rf "${PERF_DIR}"
 

@@ -162,8 +162,8 @@ nn::Value GraphRec::BuildPredictions(nn::Tape& tape,
     nn::Value score = tape.LeakyRelu(attention_.Apply(
         tape, tape.ConcatCols({z_per_edge, s_per_edge})));
     nn::Value alpha = tape.SegmentSoftmax(score, su_dst_s_, S);
-    nn::Value opinions = tape.SegmentSum(
-        tape.MulColBroadcast(z_per_edge, alpha), su_dst_s_, S);
+    nn::Value opinions =
+        tape.WeightedSegmentSum(z_per_edge, alpha, su_dst_s_, S);
     h_s = tape.Relu(store_agg_.Apply(tape, tape.ConcatCols({s0, opinions})));
   }
   h_s = tape.Dropout(h_s, config_.dropout, dropout_rng);

@@ -202,8 +202,7 @@ nn::Value Hgt::Attend(nn::Tape& tape, const Relation& rel, nn::Value src_emb,
         tape.RowwiseDot(tape.MatMul(key, tape.Param(rel.w_edge)), query),
         scale);
     nn::Value alpha = tape.SegmentSoftmax(score, dst_idx, num_dst);
-    outs.push_back(tape.SegmentSum(tape.MulColBroadcast(value, alpha),
-                                   dst_idx, num_dst));
+    outs.push_back(tape.WeightedSegmentSum(value, alpha, dst_idx, num_dst));
   }
   return tape.ConcatCols(outs);
 }

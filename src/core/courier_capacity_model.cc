@@ -75,8 +75,8 @@ nn::Value CourierCapacityModel::GeoAggregate(nn::Tape& tape,
   nn::Value messages = tape.GatherRows(b, geo_src_);
   nn::Value weights = tape.Input(nn::Tensor::FromVector(
       static_cast<int>(geo_weight_.size()), 1, geo_weight_));
-  nn::Value weighted = tape.MulColBroadcast(messages, weights);
-  nn::Value aggregated = tape.SegmentSum(weighted, geo_dst_, num_regions_);
+  nn::Value aggregated =
+      tape.WeightedSegmentSum(messages, weights, geo_dst_, num_regions_);
   return tape.Add(tape.Relu(aggregated), b);
 }
 
@@ -92,8 +92,8 @@ nn::Value CourierCapacityModel::MobilityAggregate(nn::Tape& tape,
   nn::Value scores = tape.LeakyRelu(
       attention_.Apply(tape, tape.ConcatCols({b_dst, b_src})));
   nn::Value alpha = tape.SegmentSoftmax(scores, pe.dst, num_regions_);
-  nn::Value weighted = tape.MulColBroadcast(b_src, alpha);
-  nn::Value aggregated = tape.SegmentSum(weighted, pe.dst, num_regions_);
+  nn::Value aggregated =
+      tape.WeightedSegmentSum(b_src, alpha, pe.dst, num_regions_);
   return tape.Add(tape.Relu(aggregated), b0);
 }
 

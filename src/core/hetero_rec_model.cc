@@ -126,8 +126,8 @@ nn::Value HeteroRecModel::Aggregate(nn::Tape& tape,
         tape.Scale(tape.LeakyRelu(tape.RowwiseDot(key_we, query)), scale);
     nn::Value alpha = tape.SegmentSoftmax(scores, dst_idx, num_dst);
     // sigma(sum K^i alpha) per destination (Eq. 12).
-    nn::Value weighted = tape.MulColBroadcast(key, alpha);
-    heads.push_back(tape.Relu(tape.SegmentSum(weighted, dst_idx, num_dst)));
+    heads.push_back(
+        tape.Relu(tape.WeightedSegmentSum(key, alpha, dst_idx, num_dst)));
   }
   return tape.ConcatCols(heads);
 }

@@ -206,7 +206,6 @@ common::StatusOr<std::vector<double>> O2SiteRec::PredictWithTable(
   O2SR_CHECK_EQ(table.store_emb.size(),
                 static_cast<size_t>(sim::kNumPeriods));
   O2SR_CHECK_EQ(table.type_emb.size(), static_cast<size_t>(sim::kNumPeriods));
-  O2SR_TRACE_SCOPE("model.predict_with_table");
   std::vector<int> pair_nodes;
   std::vector<int> pair_types;
   for (const Interaction& it : pairs) {

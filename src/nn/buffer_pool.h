@@ -14,9 +14,8 @@ namespace o2sr::nn {
 //
 // A training step allocates and frees the same few dozen tensor shapes every
 // iteration; without reuse that is hundreds of gigabytes of zero-fill and
-// page churn over a run (the dominant cost the pre-plan profiler reports
-// under tensor allocation). The tape returns its buffers here on
-// destruction and the executors draw from the pool instead of the heap.
+// page churn over a run. The tape returns its buffers here on destruction
+// and the op dispatcher draws from the pool instead of the heap.
 //
 // Acquire() returns a buffer with *stale contents* — callers either fully
 // overwrite it (every forward op does) or ask for AcquireZeroed() (gradient

@@ -74,8 +74,7 @@ std::vector<KernelInfo> Registry() {
         "nn.acc_mul", "nn.acc_const", "nn.relu", "nn.leaky_relu",
         "nn.acc_relu_bwd", "nn.acc_leaky_bwd", "nn.acc_sigmoid_bwd",
         "nn.acc_tanh_bwd", "nn.add_row_broadcast", "nn.mul_col_broadcast",
-        "nn.acc_mul_col_bwd_x", "nn.acc_rowwise_dot_bwd",
-        "nn.linear_act"}) {
+        "nn.acc_mul_col_bwd_x", "nn.acc_rowwise_dot_bwd"}) {
     infos.push_back({name, simd});
   }
   for (const char* name :

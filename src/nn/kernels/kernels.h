@@ -7,7 +7,7 @@
 
 namespace o2sr::nn::kernels {
 
-// Vectorized compute primitives behind the tape/plan executors.
+// Vectorized compute primitives behind the tape's op dispatcher.
 //
 // Two implementations of every vector-friendly kernel are compiled from the
 // same source (kernels_impl.inl): a scalar/SSE2 baseline TU and an AVX2 TU
@@ -155,11 +155,11 @@ void SegmentSoftmaxForward(const float* scores, const int* segment,
 void SegmentSoftmaxBackward(const float* y, const float* g,
                             const int* segment, int64_t rows,
                             int num_segments, float* gs);
-// Fused MulColBroadcast -> SegmentSum scatter (plan fusion pattern B):
+// Forward of Tape::WeightedSegmentSum:
 // out[segment[e], :] += x[e, :] * col[e], e in order. `out` must be
 // zeroed by the caller; the [rows x cols] product is never materialized.
-// Each product is rounded to float before the add, exactly like the
-// unfused pair.
+// Each product is rounded to float before the add, exactly like
+// SegmentSum(MulColBroadcast(x, col)).
 void MulColSegmentSumForward(const float* x, const float* col,
                              const int* segment, int64_t rows, float* out,
                              int cols);

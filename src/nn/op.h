@@ -12,10 +12,9 @@ namespace o2sr::nn {
 class Parameter;
 
 // The op vocabulary of the tape. One OpDesc fully describes a node: kind,
-// output shape, producer ids and the op's scalar/index attributes. Both
-// executors consume the same descriptor — the eager reference path runs it
-// immediately, the planned path records it and compiles a schedule — so op
-// semantics exist in exactly one place (op_exec.cc).
+// output shape, producer ids and the op's scalar/index attributes. The tape
+// runs each descriptor at record time through the dispatcher in op_exec.cc,
+// so op semantics exist in exactly one place.
 enum class OpKind : uint8_t {
   kInput,
   kParam,
@@ -39,6 +38,7 @@ enum class OpKind : uint8_t {
   kGatherRows,
   kSegmentSoftmax,
   kSegmentSum,
+  kWeightedSegmentSum,
   kSegmentMean,
   kMeanAll,
   kMseLoss,
@@ -50,24 +50,23 @@ const char* OpKindName(OpKind kind);
 struct OpDesc {
   OpKind kind = OpKind::kInput;
   // Output shape, known at record time (shape inference never needs the
-  // input *values*, which is what makes deferred execution possible).
+  // input values).
   int rows = 0;
   int cols = 0;
   // Scale factor (kScale) or negative slope (kLeakyRelu).
   float alpha = 0.0f;
   // kSliceCols start column (the width is `cols`).
   int slice_start = 0;
-  // kSegment*: number of output segments.
+  // kSegment*, kWeightedSegmentSum: number of output segments.
   int num_segments = 0;
   // Producer node ids, in op order.
   std::vector<int> inputs;
-  // Row/segment indices (kGatherRows, kSegment*); shared so plans can hold
-  // the schedule without copying index vectors.
+  // Row/segment indices (kGatherRows, kSegment*, kWeightedSegmentSum).
   std::shared_ptr<const std::vector<int>> index;
   // kSegmentMean: per-segment element counts.
   std::shared_ptr<const std::vector<int>> counts;
-  // kDropout: the inverted-dropout mask, drawn at record time so the RNG
-  // consumption order is identical in eager and planned execution.
+  // kDropout: the inverted-dropout mask, drawn at record time in element
+  // order.
   std::shared_ptr<const Tensor> mask;
   // kParam leaf.
   Parameter* param = nullptr;

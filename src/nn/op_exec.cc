@@ -38,6 +38,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kGatherRows: return "gather_rows";
     case OpKind::kSegmentSoftmax: return "segment_softmax";
     case OpKind::kSegmentSum: return "segment_sum";
+    case OpKind::kWeightedSegmentSum: return "weighted_segment_sum";
     case OpKind::kSegmentMean: return "segment_mean";
     case OpKind::kMeanAll: return "mean_all";
     case OpKind::kMseLoss: return "mse_loss";
@@ -73,8 +74,7 @@ int64_t RowGrainElems(int cols) {
 
 // Runs chunk_fn over [0, n) in grain-sized chunks. A single-chunk kernel
 // runs directly on the caller — such a region could never leave the calling
-// thread, so it is not recorded as a parallel region (this is most of the
-// chunk-count reduction the plan executor is gated on; the multi-chunk
+// thread, so it is not recorded as a parallel region (the multi-chunk
 // dispatch path keeps full accounting under `name`).
 template <typename Fn>
 void Dispatch(int64_t n, int64_t grain, const char* name, Fn&& fn) {
@@ -87,9 +87,9 @@ void Dispatch(int64_t n, int64_t grain, const char* name, Fn&& fn) {
   exec::CurrentPool().RunChunks(n, grain, fn, nullptr, name);
 }
 
-// Forward-pass attribution, same accounting as the pre-plan tape: each op
-// allocates its output plus a same-shaped grad, and moves its operands and
-// output once. Items = output elements.
+// Forward-pass attribution: each op is charged its output plus a
+// same-shaped grad, and moves its operands and output once. Items = output
+// elements.
 inline void ProfileOp(const char* name, const Tensor& out,
                       uint64_t operand_bytes) {
   O2SR_PROFILE_OP(name, uint64_t{2} * out.size() * sizeof(float),
@@ -100,32 +100,20 @@ inline uint64_t TensorBytes(const Tensor& t) {
   return t.size() * sizeof(float);
 }
 
-bool Materialized(const TapeNode& n) {
-  return n.value.rows() == n.desc.rows && n.value.cols() == n.desc.cols;
-}
-
-// Output slot, drawn from the recycling pool when not already materialized.
-// Pooled buffers carry stale contents; every forward op either fully
-// overwrites its output or Fill(0)s it first, so reuse cannot change bits.
+// Output slot, drawn from the recycling pool. Pooled buffers carry stale
+// contents; every forward op either fully overwrites its output or Fill(0)s
+// it first, so reuse cannot change bits.
 Tensor& EnsureOut(TapeNode& n) {
-  if (!Materialized(n)) {
-    n.value = TensorPool::Global().Acquire(n.desc.rows, n.desc.cols);
-  }
+  n.value = TensorPool::Global().Acquire(n.desc.rows, n.desc.cols);
   return n.value;
 }
 
 }  // namespace
 
-const Tensor& InputValue(std::vector<TapeNode>& nodes, int id) {
-  TapeNode& n = nodes[static_cast<size_t>(id)];
-  // A param leaf the plan left unmaterialized reads the parameter storage
-  // directly (saves the per-step embedding-table copy).
-  if (n.desc.kind == OpKind::kParam && n.value.empty()) {
-    return n.desc.param->value;
-  }
-  // A fused-away intermediate read from outside its fusion group: recompute
-  // it once into its slot.
-  if (!Materialized(n)) ExecuteForward(nodes, id);
+const Tensor& InputValue(const std::vector<TapeNode>& nodes, int id) {
+  const TapeNode& n = nodes[static_cast<size_t>(id)];
+  // Param leaves are never copied onto the tape.
+  if (n.desc.kind == OpKind::kParam) return n.desc.param->value;
   return n.value;
 }
 
@@ -143,11 +131,8 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id) {
   const kernels::KernelTable& K = kernels::Active();
   switch (d.kind) {
     case OpKind::kInput:
-      O2SR_CHECK(Materialized(node));  // inputs carry their tensor
-      return;
     case OpKind::kParam:
-      if (!Materialized(node)) node.value = d.param->value;
-      return;
+      return;  // inputs hold their tensor; params alias Parameter::value
     case OpKind::kMatMul: {
       const Tensor& a = InputValue(nodes, d.inputs[0]);
       const Tensor& b = InputValue(nodes, d.inputs[1]);
@@ -394,10 +379,23 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id) {
     case OpKind::kSegmentSum: {
       const Tensor& x = InputValue(nodes, d.inputs[0]);
       Tensor& out = EnsureOut(node);
-      out.Fill(0.0f);  // arena buffers carry the previous step's values
+      out.Fill(0.0f);  // pooled buffers carry stale values
       ProfileOp("tape.segment_sum", out, TensorBytes(x));
       kernels::SegmentSumForward(x.data(), d.index->data(), x.rows(),
                                  out.data(), x.cols());
+      return;
+    }
+    case OpKind::kWeightedSegmentSum: {
+      const Tensor& x = InputValue(nodes, d.inputs[0]);
+      const Tensor& c = InputValue(nodes, d.inputs[1]);
+      Tensor& out = EnsureOut(node);
+      out.Fill(0.0f);
+      ProfileOp("tape.weighted_segment_sum", out,
+                TensorBytes(x) + TensorBytes(c));
+      // Scatter-add with duplicate segments: e-order is the contract, runs
+      // unchunked. The [E x C] product is never materialized.
+      kernels::MulColSegmentSumForward(x.data(), c.data(), d.index->data(),
+                                       x.rows(), out.data(), x.cols());
       return;
     }
     case OpKind::kSegmentMean: {
@@ -447,6 +445,7 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
   TapeNode& node = nodes[static_cast<size_t>(id)];
   const OpDesc& d = node.desc;
   const kernels::KernelTable& K = kernels::Active();
+  if (d.kind == OpKind::kInput) return;  // constants take no gradient
   const Tensor& g = GradSlot(nodes, id);
   switch (d.kind) {
     case OpKind::kInput:
@@ -679,6 +678,30 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
                });
       return;
     }
+    case OpKind::kWeightedSegmentSum: {
+      // The generic pair's backward, row by row: SegmentSum hands edge e the
+      // gradient row g[segment[e], :], and the MulColBroadcast backward
+      // kernels consume it unchanged (DESIGN.md §13 gives the bit-exactness
+      // argument). Rows are disjoint, so the chunking cannot change bits.
+      const Tensor& x = InputValue(nodes, d.inputs[0]);
+      const Tensor& c = InputValue(nodes, d.inputs[1]);
+      Tensor& gx = GradSlot(nodes, d.inputs[0]);
+      Tensor& gc = GradSlot(nodes, d.inputs[1]);
+      const int cols = x.cols();
+      const int* seg = d.index->data();
+      Dispatch(x.rows(), RowGrainElems(cols), "nn.weighted_segment_sum_bwd",
+               [&](int64_t eb, int64_t ee) {
+                 for (int64_t e = eb; e < ee; ++e) {
+                   const float* ge =
+                       g.data() + static_cast<int64_t>(seg[e]) * cols;
+                   K.acc_mul_col_bwd_x(ge, c.data() + e, gx.data() + e * cols,
+                                       0, 1, cols);
+                   kernels::MulColBwdColAcc(ge, x.data() + e * cols,
+                                            gc.data() + e, 0, 1, cols);
+                 }
+               });
+      return;
+    }
     case OpKind::kSegmentMean: {
       Tensor& gx = GradSlot(nodes, d.inputs[0]);
       const int cols = gx.cols();
@@ -731,137 +754,6 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
     }
   }
   O2SR_CHECK(false);  // unreachable
-}
-
-void FusedLinearForward(std::vector<TapeNode>& nodes, int matmul_id,
-                        int bias_id, int act_id) {
-  const OpDesc& md = nodes[static_cast<size_t>(matmul_id)].desc;
-  const Tensor& a = InputValue(nodes, md.inputs[0]);
-  const Tensor& w = InputValue(nodes, md.inputs[1]);
-  const float* bias = nullptr;
-  uint64_t operand_bytes = TensorBytes(a) + TensorBytes(w);
-  if (bias_id >= 0) {
-    const Tensor& b =
-        InputValue(nodes, nodes[static_cast<size_t>(bias_id)].desc.inputs[1]);
-    bias = b.data();
-    operand_bytes += TensorBytes(b);
-  }
-  const int out_id = act_id >= 0 ? act_id : bias_id;
-  TapeNode& out_node = nodes[static_cast<size_t>(out_id)];
-  const OpKind act =
-      act_id >= 0 ? out_node.desc.kind : OpKind::kInput /*none*/;
-  const float slope = act_id >= 0 ? out_node.desc.alpha : 0.0f;
-  Tensor& out = EnsureOut(out_node);
-  const int k = a.cols(), n = w.cols();
-  ProfileOp("plan.linear_act", out, operand_bytes);
-  const kernels::KernelTable& K = kernels::Active();
-  Dispatch(a.rows(), RowGrain(int64_t{2} * k * n), "nn.linear_act",
-           [&](int64_t rb, int64_t re) {
-             // Row block: matmul, then bias and activation in place. Same
-             // per-element expressions as the unfused ops, so the result
-             // is bit-identical — only the intermediates go away.
-             K.matmul_rows(a.data(), w.data(), out.data(), rb, re, k, n,
-                           /*accumulate=*/false);
-             if (bias != nullptr) {
-               K.add_row_broadcast(out.data(), bias, out.data(), rb, re, n);
-             }
-             const int64_t eb = rb * n, ee = re * n;
-             switch (act) {
-               case OpKind::kRelu:
-                 K.relu(out.data(), out.data(), eb, ee);
-                 break;
-               case OpKind::kLeakyRelu:
-                 K.leaky_relu(out.data(), slope, out.data(), eb, ee);
-                 break;
-               case OpKind::kSigmoid:
-                 kernels::SigmoidForward(out.data(), out.data(), eb, ee);
-                 break;
-               case OpKind::kTanh:
-                 kernels::TanhForward(out.data(), out.data(), eb, ee);
-                 break;
-               default:
-                 break;  // bias-only group
-             }
-           });
-}
-
-void FusedLinearBackward(std::vector<TapeNode>& nodes, int matmul_id,
-                         int bias_id, int act_id) {
-  const kernels::KernelTable& K = kernels::Active();
-  if (act_id >= 0) {
-    // Activation backward into the pre-activation node's grad slot, read
-    // from the activation *output* (the pre-activation value was fused
-    // away; for relu/leaky-relu sign(out) == sign(in) because the slope is
-    // positive, for sigmoid/tanh the reference backward uses the output).
-    TapeNode& act = nodes[static_cast<size_t>(act_id)];
-    const Tensor& g = GradSlot(nodes, act_id);
-    const Tensor& y = act.value;
-    const int pre_id = bias_id >= 0 ? bias_id : matmul_id;
-    Tensor& gpre = GradSlot(nodes, pre_id);
-    const int64_t sz = static_cast<int64_t>(g.size());
-    switch (act.desc.kind) {
-      case OpKind::kRelu:
-        Dispatch(sz, kElementGrain, "nn.acc_relu_bwd",
-                 [&](int64_t bi, int64_t ei) {
-                   K.acc_relu_bwd(y.data(), g.data(), gpre.data(), bi, ei);
-                 });
-        break;
-      case OpKind::kLeakyRelu:
-        Dispatch(sz, kElementGrain, "nn.acc_leaky_bwd",
-                 [&](int64_t bi, int64_t ei) {
-                   K.acc_leaky_bwd(y.data(), act.desc.alpha, g.data(),
-                                   gpre.data(), bi, ei);
-                 });
-        break;
-      case OpKind::kSigmoid:
-        Dispatch(sz, kElementGrain, "nn.acc_sigmoid_bwd",
-                 [&](int64_t bi, int64_t ei) {
-                   K.acc_sigmoid_bwd(y.data(), g.data(), gpre.data(), bi, ei);
-                 });
-        break;
-      case OpKind::kTanh:
-        Dispatch(sz, kElementGrain, "nn.acc_tanh_bwd",
-                 [&](int64_t bi, int64_t ei) {
-                   K.acc_tanh_bwd(y.data(), g.data(), gpre.data(), bi, ei);
-                 });
-        break;
-      default:
-        O2SR_CHECK(false);  // not an activation
-    }
-  }
-  if (bias_id >= 0) {
-    // AddRowBroadcast backward: forward the row grad to the matmul node
-    // (the reference's gx += g), then column-sum into the bias leaf.
-    TapeNode& bias = nodes[static_cast<size_t>(bias_id)];
-    Tensor& g2 = GradSlot(nodes, bias_id);
-    Tensor& g1 = GradSlot(nodes, matmul_id);
-    Dispatch(static_cast<int64_t>(g2.size()), kElementGrain, "nn.acc_add",
-             [&](int64_t bi, int64_t ei) {
-               K.acc_add(g1.data(), g2.data(), bi, ei);
-             });
-    Tensor& gb = GradSlot(nodes, bias.desc.inputs[1]);
-    kernels::ColSumAcc(g2.data(), gb.data(), g2.rows(), g2.cols());
-  }
-  // The matmul backward proper (reads the matmul node's own grad slot,
-  // records tape.matmul_bwd like the generic path).
-  ExecuteBackward(nodes, matmul_id);
-}
-
-void FusedScatterForward(std::vector<TapeNode>& nodes, int mul_id,
-                         int segsum_id) {
-  const OpDesc& md = nodes[static_cast<size_t>(mul_id)].desc;
-  const Tensor& x = InputValue(nodes, md.inputs[0]);
-  const Tensor& col = InputValue(nodes, md.inputs[1]);
-  TapeNode& out_node = nodes[static_cast<size_t>(segsum_id)];
-  Tensor& out = EnsureOut(out_node);
-  out.Fill(0.0f);
-  ProfileOp("plan.mul_col_segment_sum", out,
-            TensorBytes(x) + TensorBytes(col));
-  // Scatter-add with duplicate segments: e-order is the contract, runs
-  // unchunked.
-  kernels::MulColSegmentSumForward(x.data(), col.data(),
-                                   out_node.desc.index->data(), x.rows(),
-                                   out.data(), x.cols());
 }
 
 }  // namespace detail

@@ -8,10 +8,10 @@
 
 namespace o2sr::nn {
 
-// One tape node: the op descriptor plus its (possibly lazily materialized)
-// value and gradient slots. The eager executor fills `value` at record time
-// and `grad` with zeros; the planned executor leaves both empty until a
-// flush materializes them (often from a plan's buffer arena).
+// One tape node: the op descriptor plus its value and gradient slots. The
+// value is filled when the op is recorded; kParam leaves leave it empty and
+// read Parameter::value in place. The grad slot stays empty until backward
+// (or Tape::grad) first touches it.
 struct TapeNode {
   OpDesc desc;
   Tensor value;
@@ -20,16 +20,13 @@ struct TapeNode {
 
 namespace detail {
 
-// The single op dispatcher shared by the eager reference path and the
-// compiled-plan path (DESIGN.md §13). Semantics — accumulation order, the
-// float/double conversions, the scatter orders — are the bit-exactness
-// contract: both executors call exactly these functions, so they cannot
-// drift apart.
+// The op dispatcher behind nn::Tape (DESIGN.md §13). Semantics — accumulation
+// order, the float/double conversions, the scatter orders — are the
+// bit-exactness contract at every thread count and SIMD level.
 
-// Materializes nodes[id].value (allocating the output when the slot is
-// empty) by running the op's forward kernels. kParam leaves are
-// materialized as a copy of Parameter::value; kInput leaves must already
-// hold their tensor.
+// Fills nodes[id].value (drawing the output from TensorPool) by running the
+// op's forward kernels. A no-op for leaves: kInput nodes carry their tensor
+// and kParam nodes alias Parameter::value.
 void ExecuteForward(std::vector<TapeNode>& nodes, int id);
 
 // Accumulates the gradients of nodes[id]'s inputs from nodes[id].grad
@@ -37,38 +34,12 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id);
 // gradient lands in Parameter::grad.
 void ExecuteBackward(std::vector<TapeNode>& nodes, int id);
 
-// Input-value resolution with the planned-mode fallbacks: an empty kParam
-// slot reads Parameter::value directly (no copy), any other empty slot —
-// an intermediate the plan fused away that a later op still reads — is
-// recomputed once into its slot.
-const Tensor& InputValue(std::vector<TapeNode>& nodes, int id);
+// The value an op reads for node `id`: Parameter::value for a kParam leaf,
+// the node's own slot otherwise.
+const Tensor& InputValue(const std::vector<TapeNode>& nodes, int id);
 
 // Gradient slot of a node, materialized with zeros when empty.
 Tensor& GradSlot(std::vector<TapeNode>& nodes, int id);
-
-// --- fused execution (plan fusion groups; see plan.h) ---
-// Op semantics stay in this translation unit: the plan compiler only
-// decides *which* of these run, never what they compute.
-
-// Pattern A: MatMul [+ AddRowBroadcast] [+ activation] executed as one
-// region ("nn.linear_act"). Only the group tail's value is materialized;
-// each row is multiplied, biased and activated in place, with per-element
-// arithmetic identical to the unfused ops. bias_id / act_id are -1 when
-// the group lacks that member (at least one must be present).
-void FusedLinearForward(std::vector<TapeNode>& nodes, int matmul_id,
-                        int bias_id, int act_id);
-// Backward of pattern A. The activation backward reads the activation
-// *output* (sign-equivalent to the input test for relu/leaky-relu, exact
-// for sigmoid/tanh), so the fused-away pre-activation value is never
-// needed. Gradients of every group node are materialized — external reads
-// behave exactly as in eager mode.
-void FusedLinearBackward(std::vector<TapeNode>& nodes, int matmul_id,
-                         int bias_id, int act_id);
-// Pattern B: MulColBroadcast -> SegmentSum as one scatter
-// ("nn.mul_col_segment_sum"); the [E x C] product is never materialized.
-// Backward needs no fused form (neither op's backward reads the product).
-void FusedScatterForward(std::vector<TapeNode>& nodes, int mul_id,
-                         int segsum_id);
 
 }  // namespace detail
 }  // namespace o2sr::nn

@@ -1,6 +1,5 @@
 #include "nn/tape.h"
 
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -8,36 +7,18 @@
 
 namespace o2sr::nn {
 
-namespace {
-
-// -1: resolve from O2SR_PLAN; 0: force eager; 1: force planned.
-std::atomic<int> g_mode_override{-1};
-
-bool Materialized(const TapeNode& n) {
-  return n.value.rows() == n.desc.rows && n.value.cols() == n.desc.cols;
-}
-
-}  // namespace
-
-Tape::Tape(bool training) : training_(training) {
-  const int ov = g_mode_override.load(std::memory_order_relaxed);
-  planned_ = ov < 0 ? PlanEnabledFromEnv() : ov == 1;
-}
+Tape::Tape(bool training) : training_(training) {}
 
 Tape::~Tape() {
-  // Return every materialized buffer to the pool: the next step's tape
-  // reuses them instead of re-faulting fresh pages.
+  // Return every buffer drawn from the pool: the next step's tape reuses
+  // them instead of re-faulting fresh pages. Input values came from the
+  // caller, so pooling them would grow the pool by the inputs every step;
+  // param leaves hold no buffer.
   TensorPool& pool = TensorPool::Global();
   for (TapeNode& n : nodes_) {
-    pool.Release(std::move(n.value));
+    if (n.desc.kind != OpKind::kInput) pool.Release(std::move(n.value));
     pool.Release(std::move(n.grad));
   }
-}
-
-void Tape::SetModeForTest(Mode mode) {
-  g_mode_override.store(
-      mode == Mode::kEnv ? -1 : (mode == Mode::kPlanned ? 1 : 0),
-      std::memory_order_relaxed);
 }
 
 Value Tape::Push(OpDesc desc) {
@@ -45,42 +26,16 @@ Value Tape::Push(OpDesc desc) {
   n.desc = std::move(desc);
   nodes_.push_back(std::move(n));
   const int id = static_cast<int>(nodes_.size()) - 1;
-  if (!planned_) {
-    detail::ExecuteForward(nodes_, id);
-    detail::GradSlot(nodes_, id);
-    executed_ = nodes_.size();
-  }
+  detail::ExecuteForward(nodes_, id);
   return Value{id};
 }
 
-void Tape::Flush() const {
-  if (executed_ == nodes_.size()) return;
-  auto* self = const_cast<Tape*>(this);
-  const int begin = static_cast<int>(executed_);
-  const int end = static_cast<int>(nodes_.size());
-  std::shared_ptr<const Plan> plan =
-      PlanCache::Global().GetOrCompile(nodes_, begin, end);
-  self->plan_steps_.resize(nodes_.size());
-  for (int i = begin; i < end; ++i) {
-    self->plan_steps_[static_cast<size_t>(i)] =
-        plan->steps[static_cast<size_t>(i - begin)];
-  }
-  detail::RunPlanForward(*plan, self->nodes_);
-  self->executed_ = nodes_.size();
-}
-
 const Tensor& Tape::value(Value v) const {
-  Flush();
-  auto* self = const_cast<Tape*>(this);
-  TapeNode& n = self->node(v.id);
-  // A param leaf or fused-away intermediate materializes on first read
-  // (for params this is the same snapshot copy the eager path makes).
-  if (!Materialized(n)) detail::ExecuteForward(self->nodes_, v.id);
-  return n.value;
+  node(v.id);  // bounds check
+  return detail::InputValue(nodes_, v.id);
 }
 
 const Tensor& Tape::grad(Value v) const {
-  Flush();
   auto* self = const_cast<Tape*>(this);
   self->node(v.id);  // bounds check
   return detail::GradSlot(self->nodes_, v.id);
@@ -95,12 +50,7 @@ Value Tape::Input(Tensor t) {
   n.desc = std::move(d);
   n.value = std::move(t);
   nodes_.push_back(std::move(n));
-  const int id = static_cast<int>(nodes_.size()) - 1;
-  if (!planned_) {
-    detail::GradSlot(nodes_, id);
-    executed_ = nodes_.size();
-  }
-  return Value{id};
+  return Value{static_cast<int>(nodes_.size()) - 1};
 }
 
 Value Tape::Param(Parameter* p) {
@@ -294,8 +244,8 @@ Value Tape::Dropout(Value x, double p, Rng& rng) {
   if (!training_ || p <= 0.0) return x;
   O2SR_CHECK_LT(p, 1.0);
   const OpDesc& dx = desc_of(x.id);
-  // The mask is drawn here, at record time, in element order — the RNG
-  // stream is consumed identically whether execution is eager or deferred.
+  // The mask is drawn in element order, so the RNG stream is a function of
+  // the shapes alone.
   Tensor mask(dx.rows, dx.cols);
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
   for (size_t i = 0; i < mask.size(); ++i) {
@@ -348,6 +298,24 @@ Value Tape::SegmentSum(Value x, std::vector<int> segment, int num_segments) {
   d.cols = dx.cols;
   d.num_segments = num_segments;
   d.inputs = {x.id};
+  d.index = std::make_shared<const std::vector<int>>(std::move(segment));
+  return Push(std::move(d));
+}
+
+Value Tape::WeightedSegmentSum(Value x, Value col, std::vector<int> segment,
+                               int num_segments) {
+  const OpDesc& dx = desc_of(x.id);
+  const OpDesc& dc = desc_of(col.id);
+  O2SR_CHECK_EQ(dc.cols, 1);
+  O2SR_CHECK_EQ(dc.rows, dx.rows);
+  O2SR_CHECK_EQ(static_cast<size_t>(dx.rows), segment.size());
+  for (int s : segment) O2SR_CHECK(s >= 0 && s < num_segments);
+  OpDesc d;
+  d.kind = OpKind::kWeightedSegmentSum;
+  d.rows = num_segments;
+  d.cols = dx.cols;
+  d.num_segments = num_segments;
+  d.inputs = {x.id, col.id};
   d.index = std::make_shared<const std::vector<int>>(std::move(segment));
   return Push(std::move(d));
 }
@@ -409,18 +377,13 @@ Value Tape::MaeLoss(Value pred, Value target) {
 }
 
 void Tape::Backward(Value loss) {
-  Flush();
   O2SR_CHECK(!backward_done_);
   backward_done_ = true;
   const OpDesc& root = desc_of(loss.id);
   O2SR_CHECK_EQ(root.rows, 1);
   O2SR_CHECK_EQ(root.cols, 1);
   detail::GradSlot(nodes_, loss.id).at(0, 0) = 1.0f;
-  if (!planned_) {
-    for (int id = loss.id; id >= 0; --id) detail::ExecuteBackward(nodes_, id);
-  } else {
-    detail::RunPlanBackward(plan_steps_, nodes_, loss.id);
-  }
+  for (int id = loss.id; id >= 0; --id) detail::ExecuteBackward(nodes_, id);
 }
 
 }  // namespace o2sr::nn

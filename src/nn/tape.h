@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "nn/op_exec.h"
 #include "nn/parameter.h"
-#include "nn/plan.h"
 #include "nn/tensor.h"
 
 namespace o2sr::nn {
@@ -21,26 +20,15 @@ struct Value {
 // Reverse-mode automatic differentiation over 2-D tensors.
 //
 // A fresh Tape is built for every forward pass (define-by-run). Each op
-// records an OpDesc node; execution happens in one of two modes
-// (DESIGN.md §13):
+// records an OpDesc node and runs at once through the dispatcher in
+// op_exec.cc (DESIGN.md §13). Param leaves alias Parameter::value, and
+// gradient slots are zeroed lazily when backward first reaches them. Op
+// values and all grads go back to TensorPool when the tape is destroyed.
 //
-//   eager   (O2SR_PLAN=off) — every op runs at record time through the
-//           shared dispatcher in op_exec.cc. This is the bit-exact
-//           reference path.
-//   planned (default)       — ops are recorded unexecuted; the first
-//           value/grad/Backward access flushes the pending segment through
-//           a compiled Plan (PlanCache-memoized fusion + schedule, one
-//           exec::Session per step). Results are bit-identical to eager:
-//           both modes dispatch to the same kernels with the same
-//           accumulation orders; fusion only elides intermediates.
-//
-// Shape inference is part of the op descriptors, so rows()/cols() and all
-// record-time shape checks work in both modes without materializing values.
-//
-// In addition to dense ops, the tape provides the three sparse "segment"
+// In addition to dense ops, the tape provides the sparse "segment"
 // primitives that graph attention needs (GatherRows, SegmentSoftmax,
-// SegmentSum): together with MatMul/Concat they express every equation of
-// the paper (Eq. 2-17) without dense adjacency matrices.
+// SegmentSum, WeightedSegmentSum): together with MatMul/Concat they express
+// every equation of the paper (Eq. 2-17) without dense adjacency matrices.
 class Tape {
  public:
   explicit Tape(bool training = true);
@@ -49,28 +37,21 @@ class Tape {
   Tape& operator=(const Tape&) = delete;
 
   bool training() const { return training_; }
-  // True when this tape defers execution to the plan compiler.
-  bool planned() const { return planned_; }
-
-  // Execution-mode override for tests (process-wide, applies to tapes
-  // constructed afterwards). kEnv restores the O2SR_PLAN resolution.
-  enum class Mode { kEnv, kEager, kPlanned };
-  static void SetModeForTest(Mode mode);
 
   // Leaves ------------------------------------------------------------------
 
   // Constant input (no gradient flows out of the tape through it).
   Value Input(Tensor t);
-  // Trainable leaf; Backward() accumulates into p->grad.
+  // Trainable leaf; Backward() accumulates into p->grad. The leaf aliases
+  // p->value, which must not change while the tape is in use.
   Value Param(Parameter* p);
 
   // Accessors ---------------------------------------------------------------
 
-  // Flush (in planned mode) and materialize on demand, so both are valid
-  // at any point in either mode.
+  // value() of a Param leaf is Parameter::value itself. grad() zero-fills
+  // the slot on first access.
   const Tensor& value(Value v) const;
   const Tensor& grad(Value v) const;
-  // Shapes come from the descriptors: always available, never flush.
   int rows(Value v) const { return desc_of(v.id).rows; }
   int cols(Value v) const { return desc_of(v.id).cols; }
   size_t num_nodes() const { return nodes_.size(); }
@@ -100,8 +81,6 @@ class Tape {
   // Row-wise dot product of two [N,C] tensors -> [N,1].
   Value RowwiseDot(Value a, Value b);
   // Inverted dropout; identity when the tape is in inference mode or p == 0.
-  // The mask is drawn at record time, so the RNG consumption order is
-  // identical in eager and planned mode.
   Value Dropout(Value x, double p, Rng& rng);
 
   // Sparse / graph ops ------------------------------------------------------
@@ -114,6 +93,11 @@ class Tape {
                        int num_segments);
   // out[s, :] = sum over {e : segment[e] == s} of x[e, :]. -> [S,C].
   Value SegmentSum(Value x, std::vector<int> segment, int num_segments);
+  // SegmentSum(MulColBroadcast(x, col), segment, num_segments) as one op,
+  // bit for bit in both passes, without the [E,C] product. x: [E,C],
+  // col: [E,1].
+  Value WeightedSegmentSum(Value x, Value col, std::vector<int> segment,
+                           int num_segments);
   // Like SegmentSum but divides by the segment size (empty segments -> 0).
   Value SegmentMean(Value x, std::vector<int> segment, int num_segments);
 
@@ -141,21 +125,12 @@ class Tape {
   }
   const OpDesc& desc_of(int id) const { return node(id).desc; }
 
-  // Appends a node; in eager mode runs it immediately (and pre-allocates
-  // the zeroed grad slot, like the reference tape always did).
+  // Appends a node and runs its forward pass.
   Value Push(OpDesc desc);
 
-  // Planned mode: compile + execute every node not yet materialized.
-  void Flush() const;
-
   bool training_;
-  bool planned_;
   bool backward_done_ = false;
-  // Planned mode: nodes below this index have been executed.
-  size_t executed_ = 0;
   std::vector<TapeNode> nodes_;
-  // Planned mode: per-node schedule, concatenated over flushed segments.
-  std::vector<PlanStep> plan_steps_;
 };
 
 }  // namespace o2sr::nn

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "exec/thread_pool.h"
 #include "nn/checkpoint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -186,6 +187,9 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
     double loss;
     {
       O2SR_TRACE_SCOPE("train.forward_backward");
+      // One session per step: every parallel region of the forward and
+      // backward pass reuses the same hot worker set.
+      exec::Session session(exec::CurrentPool(), nullptr);
       loss = epoch_fn(epoch);
     }
     if (hooks.post_backward) hooks.post_backward(epoch, *store);

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "obs/json.h"
+#include "obs/log.h"
 
 namespace o2sr::obs {
 
@@ -54,22 +55,32 @@ TraceRecorder& TraceRecorder::Global() {
   return *recorder;
 }
 
+void TraceRecorder::CountDrop(const char* what, size_t cap) {
+  if (dropped_.fetch_add(1, std::memory_order_relaxed) == 0) {
+    O2SR_LOG(WARNING) << "trace buffer full at " << cap << " " << what
+                      << "; further spans and counter samples are dropped "
+                         "(counted in dropped_spans)";
+  }
+}
+
 int64_t TraceRecorder::Begin(const char* name) {
   if (!recording()) return -1;
   const int64_t now = clock_();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spans_.size() >= kMaxSpans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return -1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (spans_.size() < kMaxSpans) {
+      TraceSpan span;
+      span.name = name;
+      span.start_us = now;
+      span.depth = tls_trace_depth;
+      span.tid = ThisThreadTraceId();
+      ++tls_trace_depth;
+      spans_.push_back(std::move(span));
+      return static_cast<int64_t>(spans_.size()) - 1;
+    }
   }
-  TraceSpan span;
-  span.name = name;
-  span.start_us = now;
-  span.depth = tls_trace_depth;
-  span.tid = ThisThreadTraceId();
-  ++tls_trace_depth;
-  spans_.push_back(std::move(span));
-  return static_cast<int64_t>(spans_.size()) - 1;
+  CountDrop("spans", kMaxSpans);
+  return -1;
 }
 
 void TraceRecorder::End(int64_t handle) {
@@ -87,17 +98,19 @@ void TraceRecorder::End(int64_t handle) {
 void TraceRecorder::RecordCounter(const char* name, double value) {
   if (!recording()) return;
   const int64_t now = clock_();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.size() >= kMaxCounters) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (counters_.size() < kMaxCounters) {
+      TraceCounterEvent event;
+      event.name = name;
+      event.ts_us = now;
+      event.value = value;
+      event.tid = ThisThreadTraceId();
+      counters_.push_back(std::move(event));
+      return;
+    }
   }
-  TraceCounterEvent event;
-  event.name = name;
-  event.ts_us = now;
-  event.value = value;
-  event.tid = ThisThreadTraceId();
-  counters_.push_back(std::move(event));
+  CountDrop("counter samples", kMaxCounters);
 }
 
 size_t TraceRecorder::span_count() const {
@@ -159,7 +172,11 @@ std::string TraceRecorder::ExportChromeTraceJson() const {
            ",\"pid\":0,\"tid\":" + JsonNum(static_cast<int64_t>(counter.tid)) +
            ",\"args\":{\"value\":" + JsonNum(counter.value) + "}}";
   }
-  out += "]}";
+  out += "]";
+  if (const uint64_t dropped = dropped_spans(); dropped > 0) {
+    out += ",\"otherData\":{\"dropped_spans\":" + JsonNum(dropped) + "}";
+  }
+  out += "}";
   return out;
 }
 

@@ -87,6 +87,9 @@ class TraceRecorder {
   void RecordCounter(const char* name, double value);
 
   size_t span_count() const;
+  // Spans and counter samples refused because their buffer was full. The
+  // first drop since construction or Clear() logs a warning, and the
+  // Chrome export carries a non-zero count as otherData.dropped_spans.
   uint64_t dropped_spans() const {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -104,11 +107,15 @@ class TraceRecorder {
   //  "ph":"X","ts":..,"dur":..,"pid":0,"tid":0},...]} — spans in recording
   //  order; open spans are closed at the current clock value. Counter
   //  samples follow the spans as "ph":"C" events carrying
-  //  {"args":{"value":..}}.
+  //  {"args":{"value":..}}. A non-zero dropped_spans() is appended as
+  //  "otherData":{"dropped_spans":N}.
   std::string ExportChromeTraceJson() const;
   common::Status WriteChromeTrace(const std::string& path) const;
 
  private:
+  // Counts one refused event; logs the first one.
+  void CountDrop(const char* what, size_t cap);
+
   Clock clock_;
   std::atomic<bool> recording_{true};
   std::atomic<uint64_t> dropped_{0};

@@ -444,6 +444,41 @@ TEST_F(LogTest, SinkReceivesBasenameAndLine) {
   EXPECT_GT(captured_[0].line, 0);
 }
 
+// A full trace buffer is not silent: the drop is counted, exported and
+// logged once. Counter samples have the smaller cap, so they fill it.
+TEST_F(LogTest, FullTraceBufferIsCountedExportedAndLogged) {
+  SetMinLogLevel(LogLevel::kInfo);
+  int64_t now = 0;
+  TraceRecorder recorder([&now] { return now; });
+  EXPECT_EQ(recorder.ExportChromeTraceJson().find("otherData"),
+            std::string::npos);
+  for (int i = 0; i < (1 << 16); ++i) recorder.RecordCounter("c", 1.0);
+  EXPECT_EQ(recorder.dropped_spans(), 0u);
+  EXPECT_TRUE(captured_.empty());
+
+  recorder.RecordCounter("c", 1.0);
+  recorder.RecordCounter("c", 1.0);
+  EXPECT_EQ(recorder.dropped_spans(), 2u);
+  ASSERT_EQ(captured_.size(), 1u);
+  EXPECT_EQ(captured_[0].level, LogLevel::kWarning);
+  EXPECT_NE(captured_[0].message.find("trace buffer full"), std::string::npos)
+      << captured_[0].message;
+
+  const std::string json = recorder.ExportChromeTraceJson();
+  const auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* other = parsed->Find("otherData");
+  ASSERT_NE(other, nullptr);
+  const JsonValue* dropped = other->Find("dropped_spans");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->number(), 2.0);
+
+  recorder.Clear();
+  EXPECT_EQ(recorder.dropped_spans(), 0u);
+  EXPECT_EQ(recorder.ExportChromeTraceJson().find("otherData"),
+            std::string::npos);
+}
+
 TEST_F(LogTest, OffLevelEmitsNothing) {
   SetMinLogLevel(LogLevel::kOff);
   O2SR_LOG(ERROR) << "nope";

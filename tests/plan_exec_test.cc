@@ -1,12 +1,13 @@
-// The planned executor's central contract (DESIGN.md §13): compiling a
-// tape segment into a Plan — fusion, pooled buffers, one exec::Session —
-// must change nothing about the numbers. These tests train the full
-// O2-SiteRec model and the two matrix-factorization baselines end to end
-// in both modes and require *bitwise* equal predictions, at 1, 2 and 8
-// worker threads (fusion groups and kernel grains depend only on shapes,
-// never on the thread count). A finite-difference gradient check and a
-// scalar-vs-AVX2 kernel-table comparison pin down the two layers the plan
-// rests on: backward scheduling and the SIMD kernels.
+// The tape's execution contract (DESIGN.md §13): one dispatcher runs every
+// op at record time, and its numbers depend on nothing but the inputs.
+// These tests train the full O2-SiteRec model and the two
+// matrix-factorization baselines end to end at 1, 2 and 8 worker threads
+// and require *bitwise* equal predictions (kernel grains depend only on
+// shapes, never on the thread count). WeightedSegmentSum must reproduce
+// SegmentSum(MulColBroadcast(...)) bit for bit in both passes, a
+// finite-difference gradient check covers the composite ops, the tensor
+// pool must reach a steady state after one training step, and a
+// scalar-vs-AVX2 kernel-table comparison pins down the SIMD kernels.
 
 #include <cmath>
 #include <functional>
@@ -19,6 +20,7 @@
 #include "core/o2siterec_recommender.h"
 #include "eval/experiment.h"
 #include "exec/thread_pool.h"
+#include "nn/buffer_pool.h"
 #include "nn/kernels/kernels.h"
 #include "nn/parameter.h"
 #include "nn/tape.h"
@@ -70,13 +72,6 @@ core::TrainContext Ctx() {
   return ctx;
 }
 
-// RAII for the process-wide tape mode so a failing ASSERT cannot leak a
-// forced mode into later tests.
-struct ModeGuard {
-  explicit ModeGuard(Tape::Mode mode) { Tape::SetModeForTest(mode); }
-  ~ModeGuard() { Tape::SetModeForTest(Tape::Mode::kEnv); }
-};
-
 enum class Model { kO2SiteRec, kCityTransfer, kBlgCoSvd };
 
 std::unique_ptr<core::SiteRecommender> Make(Model which) {
@@ -107,9 +102,7 @@ std::unique_ptr<core::SiteRecommender> Make(Model which) {
   return nullptr;
 }
 
-std::vector<double> TrainAndPredict(Model which, Tape::Mode mode,
-                                    int threads) {
-  ModeGuard guard(mode);
+std::vector<double> TrainAndPredict(Model which, int threads) {
   exec::ThreadPool pool(threads, "exec.plan_test");
   exec::PoolScope scope(&pool);
   auto model = Make(which);
@@ -117,43 +110,105 @@ std::vector<double> TrainAndPredict(Model which, Tape::Mode mode,
   return model->Predict(F().probe).value();
 }
 
-// Eager single-threaded training is the reference everything else must
+// Single-threaded training is the reference every thread count must
 // reproduce bit for bit.
-void CheckPlannedMatchesEager(Model which) {
-  const std::vector<double> want =
-      TrainAndPredict(which, Tape::Mode::kEager, 1);
+void CheckBitIdenticalAcrossThreads(Model which) {
+  const std::vector<double> want = TrainAndPredict(which, 1);
   ASSERT_EQ(want.size(), F().probe.size());
-  for (int threads : {1, 2, 8}) {
-    const std::vector<double> got =
-        TrainAndPredict(which, Tape::Mode::kPlanned, threads);
+  for (int threads : {2, 8}) {
+    const std::vector<double> got = TrainAndPredict(which, threads);
     ASSERT_EQ(got.size(), want.size()) << "threads " << threads;
     for (size_t i = 0; i < want.size(); ++i) {
-      // EXPECT_EQ, not NEAR: the plan may fuse and reorder the schedule
-      // but never an accumulation.
       EXPECT_EQ(got[i], want[i])
           << "threads " << threads << " probe pair " << i;
     }
   }
 }
 
-TEST(PlanExecTest, O2SiteRecPlannedBitIdenticalToEager) {
-  CheckPlannedMatchesEager(Model::kO2SiteRec);
+TEST(PlanExecTest, O2SiteRecTrainedBitIdenticalAcrossThreads) {
+  CheckBitIdenticalAcrossThreads(Model::kO2SiteRec);
 }
 
-TEST(PlanExecTest, CityTransferPlannedBitIdenticalToEager) {
-  CheckPlannedMatchesEager(Model::kCityTransfer);
+TEST(PlanExecTest, CityTransferTrainedBitIdenticalAcrossThreads) {
+  CheckBitIdenticalAcrossThreads(Model::kCityTransfer);
 }
 
-TEST(PlanExecTest, BlgCoSvdPlannedBitIdenticalToEager) {
-  CheckPlannedMatchesEager(Model::kBlgCoSvd);
+TEST(PlanExecTest, BlgCoSvdTrainedBitIdenticalAcrossThreads) {
+  CheckBitIdenticalAcrossThreads(Model::kBlgCoSvd);
 }
 
-// --- gradcheck under the planned executor --------------------------------
-// The fused backward (linear_act groups, scatter groups, pooled grad
-// slots) must still be the true gradient. The loss composition below hits
-// every fusion pattern: MatMul + bias + activation (pattern A, all three
-// activations), MulColBroadcast + SegmentSum (pattern B), plus softmax,
-// gather and concat around them.
+// --- WeightedSegmentSum vs the generic pair ------------------------------
+// Forward and both input gradients must equal SegmentSum(MulColBroadcast)
+// bit for bit, with duplicate segments, empty segments and an upstream
+// gradient that reaches the op through a nonlinear loss.
+
+void ExpectSameBits(const nn::Tensor& a, const nn::Tensor& b,
+                    const char* label) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << label << " flat index " << i;
+  }
+}
+
+struct PairGrads {
+  nn::Tensor out, gx, gcol;
+};
+
+PairGrads RunWeighted(const nn::Tensor& x, const nn::Tensor& col,
+                      const std::vector<int>& segment, int num_segments,
+                      bool fused) {
+  Tape tape;
+  nn::Value vx = tape.Input(x);
+  nn::Value vc = tape.Input(col);
+  nn::Value out =
+      fused ? tape.WeightedSegmentSum(vx, vc, segment, num_segments)
+            : tape.SegmentSum(tape.MulColBroadcast(vx, vc), segment,
+                              num_segments);
+  tape.Backward(tape.MeanAll(tape.Mul(tape.Tanh(out), out)));
+  return {tape.value(out), tape.grad(vx), tape.grad(vc)};
+}
+
+TEST(PlanExecTest, WeightedSegmentSumMatchesGenericPairBitwise) {
+  Rng rng(31);
+  const nn::Tensor x = nn::Tensor::RandomNormal(9, 5, 1.0, rng);
+  const nn::Tensor col = nn::Tensor::RandomNormal(9, 1, 0.7, rng);
+  // Segments 1 and 4 are empty; 0, 2 and 3 repeat, out of order.
+  const std::vector<int> segment = {3, 0, 0, 2, 3, 2, 0, 5, 3};
+  const PairGrads want = RunWeighted(x, col, segment, 6, /*fused=*/false);
+  const PairGrads got = RunWeighted(x, col, segment, 6, /*fused=*/true);
+  ASSERT_EQ(got.out.rows(), 6);
+  ASSERT_EQ(got.gx.rows(), 9);
+  ASSERT_EQ(got.gcol.rows(), 9);
+  ExpectSameBits(got.out, want.out, "out");
+  ExpectSameBits(got.gx, want.gx, "grad x");
+  ExpectSameBits(got.gcol, want.gcol, "grad col");
+  for (int c = 0; c < 5; ++c) {
+    EXPECT_EQ(got.out.at(1, c), 0.0f);
+    EXPECT_EQ(got.out.at(4, c), 0.0f);
+  }
+}
+
+// --- tensor pool steady state --------------------------------------------
+// Every buffer a step draws from TensorPool goes back when its tape dies,
+// and nothing else does, so from the second step on the pool neither grows
+// nor shrinks.
+
+TEST(PlanExecTest, PooledBytesSteadyAcrossTrainingSteps) {
+  std::vector<size_t> pooled;
+  core::TrainContext ctx = Ctx();
+  ctx.hooks.on_epoch_end = [&pooled](int, double) {
+    pooled.push_back(nn::TensorPool::Global().pooled_bytes());
+  };
+  auto model = Make(Model::kO2SiteRec);
+  ASSERT_TRUE(model->Train(ctx).ok());
+  ASSERT_EQ(pooled.size(), 3u);
+  EXPECT_GT(pooled[1], 0u);
+  EXPECT_EQ(pooled[2], pooled[1]);
+}
+
+// --- gradcheck -------------------------------------------------------------
+// MatMul + bias + each activation, then WeightedSegmentSum: the analytic
+// gradient through all of them must match finite differences.
 
 using LossBuilder = std::function<nn::Value(Tape&)>;
 
@@ -189,8 +244,7 @@ void CheckGradients(nn::ParameterStore& store, const LossBuilder& build,
   }
 }
 
-TEST(PlanExecTest, GradcheckUnderPlannedExecutor) {
-  ModeGuard guard(Tape::Mode::kPlanned);
+TEST(PlanExecTest, GradcheckWeightedSegmentSum) {
   nn::ParameterStore store;
   Rng rng(4242);
   nn::Parameter* w1 = store.CreateXavier("w1", 6, 8, rng);
@@ -204,15 +258,13 @@ TEST(PlanExecTest, GradcheckUnderPlannedExecutor) {
 
   const LossBuilder build = [&](Tape& tape) {
     nn::Value in = tape.Input(x);
-    // Pattern A with all three fused shapes.
     nn::Value h1 = tape.Relu(
         tape.AddRowBroadcast(tape.MatMul(in, tape.Param(w1)), tape.Param(b1)));
     nn::Value h2 = tape.Tanh(
         tape.AddRowBroadcast(tape.MatMul(h1, tape.Param(w2)), tape.Param(b2)));
     nn::Value h3 = tape.Sigmoid(tape.MatMul(h2, tape.Param(w3)));
-    // Pattern B: edgewise weighting then segment reduction.
-    nn::Value weighted = tape.MulColBroadcast(h3, tape.Input(col));
-    nn::Value pooled = tape.SegmentSum(weighted, segment, 4);
+    nn::Value pooled =
+        tape.WeightedSegmentSum(h3, tape.Input(col), segment, 4);
     return tape.MeanAll(tape.Mul(pooled, pooled));
   };
   CheckGradients(store, build);
@@ -230,14 +282,6 @@ nn::Tensor SparseRandom(int rows, int cols, double zero_fraction, Rng& rng) {
     if (rng.Uniform(0.0, 1.0) < zero_fraction) t.data()[i] = 0.0f;
   }
   return t;
-}
-
-void ExpectSameBits(const nn::Tensor& a, const nn::Tensor& b,
-                    const char* label) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << label << " flat index " << i;
-  }
 }
 
 TEST(PlanExecTest, Avx2MatMulKernelsMatchScalarBitwise) {
